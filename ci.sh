@@ -11,6 +11,10 @@ cargo build --workspace --release
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> perfbench tests (traced replay equals Simulator)"
+# perfbench is a workspace of its own, so --workspace above skips it.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

@@ -2,10 +2,11 @@
 
 use mdd_coherence::{CoherenceEngine, CoherentTraffic};
 use mdd_core::{BnfCurve, PatternSpec, QueueOrg, Scheme, SimConfig, SimResult, Simulator};
-use mdd_engine::Engine;
+use mdd_engine::{Engine, Job};
 use mdd_stats::{Histogram, Table};
 use mdd_traffic::AppModel;
 use std::io::Write as _;
+use std::ops::Range;
 use std::path::Path;
 
 /// Scale knob so Criterion benches can run the same experiments quickly.
@@ -183,7 +184,8 @@ impl FigureResult {
 /// applicable scheme is swept over `loads(max_load)`. Infeasible
 /// combinations are omitted at build time (as the paper omits them from
 /// the figures); points that fail mid-sweep are reported and the curve
-/// is assembled from the survivors.
+/// is assembled from the survivors. Every curve of the figure goes to
+/// the engine as one batch, so the pool never idles between curves.
 fn run_figure(
     engine: &Engine,
     id: &'static str,
@@ -191,11 +193,12 @@ fn run_figure(
     panels: &[(&PatternSpec, Vec<SchemeEntry>, f64)],
     scale: RunScale,
 ) -> FigureResult {
-    let mut out = Vec::new();
-    let (mut simulated, mut cached, mut failed) = (0u64, 0u64, 0u64);
+    let mut jobs = Vec::new();
+    let mut out: Vec<(String, Vec<BnfCurve>)> = Vec::new();
+    // Per curve: (panel index, label, job ids).
+    let mut curves: Vec<(usize, &str, Range<usize>)> = Vec::new();
     for (pattern, entries, max_load) in panels {
         let loads = mdd_core::default_loads(0.05, *max_load, scale.load_points);
-        let mut curves = Vec::new();
         for e in entries {
             let cfg = match SimConfig::builder()
                 .scheme(e.scheme)
@@ -211,23 +214,27 @@ fn run_figure(
                     continue;
                 }
             };
-            let report = engine.submit_sweep(&cfg, &loads, e.label).wait();
-            for err in report.errors() {
-                eprintln!("{id}: {err}");
+            let first = jobs.len();
+            for &load in &loads {
+                jobs.push(Job::new(jobs.len(), e.label, cfg.at_load(load)));
             }
-            simulated += report.simulated();
-            cached += report.cached();
-            failed += report.failed();
-            curves.push(report.curve(e.label));
+            curves.push((out.len(), e.label, first..jobs.len()));
         }
-        out.push((pattern.name().to_string(), curves));
+        out.push((pattern.name().to_string(), Vec::new()));
+    }
+    let report = engine.submit(jobs).wait();
+    for err in report.errors() {
+        eprintln!("{id}: {err}");
+    }
+    for (panel, label, ids) in curves {
+        out[panel].1.push(report.jobs(ids).curve(label));
     }
     FigureResult {
         id,
         panels: out,
-        points_simulated: simulated,
-        points_cached: cached,
-        points_failed: failed,
+        points_simulated: report.simulated(),
+        points_cached: report.cached(),
+        points_failed: report.failed(),
     }
 }
 

@@ -61,9 +61,38 @@ impl WaitForGraph {
         self.edges += 1;
     }
 
+    /// True if the arc `a → b` has been added.
+    pub fn has_edge(&self, a: u32, b: u32) -> bool {
+        self.adj[a as usize].contains(&b)
+    }
+
     /// Strongly connected components (Tarjan, iterative), in reverse
     /// topological order.
     pub fn sccs(&self) -> Vec<Vec<u32>> {
+        let mut sccs = Vec::new();
+        self.tarjan(|comp| {
+            sccs.push(comp.to_vec());
+            false
+        });
+        sccs
+    }
+
+    /// The first SCC in [`WaitForGraph::sccs`] order that contains a
+    /// cycle, found without materializing the components before it.
+    pub fn first_cyclic_scc(&self) -> Option<Vec<u32>> {
+        let mut found = None;
+        self.tarjan(|comp| {
+            if self.has_cycle(comp) {
+                found = Some(comp.to_vec());
+            }
+            found.is_some()
+        });
+        found
+    }
+
+    /// Tarjan's algorithm, handing each SCC (in reverse topological
+    /// order, vertices in pop order) to `visit` until it returns true.
+    fn tarjan(&self, mut visit: impl FnMut(&[u32]) -> bool) {
         #[derive(Clone, Copy)]
         struct VState {
             index: u32,
@@ -82,7 +111,7 @@ impl WaitForGraph {
         ];
         let mut next_index = 0u32;
         let mut stack: Vec<u32> = Vec::new();
-        let mut sccs: Vec<Vec<u32>> = Vec::new();
+        let mut comp: Vec<u32> = Vec::new();
         // Explicit DFS stack: (vertex, child iterator position).
         let mut call: Vec<(u32, usize)> = Vec::new();
         for root in 0..self.n as u32 {
@@ -120,7 +149,7 @@ impl WaitForGraph {
                         st[parent as usize].lowlink = lp;
                     }
                     if st[vs].lowlink == st[vs].index {
-                        let mut comp = Vec::new();
+                        comp.clear();
                         loop {
                             let w = stack.pop().expect("tarjan stack invariant");
                             st[w as usize].on_stack = false;
@@ -129,12 +158,13 @@ impl WaitForGraph {
                                 break;
                             }
                         }
-                        sccs.push(comp);
+                        if visit(&comp) {
+                            return;
+                        }
                     }
                 }
             }
         }
-        sccs
     }
 
     /// True if `comp` (one SCC) contains a cycle: more than one vertex, or

@@ -259,6 +259,34 @@ mod properties {
             prop_assert!(seen.iter().all(|&s| s), "every vertex in some SCC");
         }
 
+        /// `first_cyclic_scc` stops at the first cyclic SCC `sccs` lists,
+        /// and dropping repeated arcs (keeping first occurrences) changes
+        /// neither the SCCs, their order, nor the cycle extracted from it.
+        #[test]
+        fn first_cyclic_scc_survives_arc_dedup(n in 1usize..30,
+                                               edges in proptest::collection::vec((0u32..30, 0u32..30), 0..120)) {
+            let mut g = WaitForGraph::new(n);
+            let mut dedup = WaitForGraph::new(n);
+            for (a, b) in edges {
+                let (a, b) = (a % n as u32, b % n as u32);
+                g.add_edge(a, b);
+                if !dedup.has_edge(a, b) {
+                    dedup.add_edge(a, b);
+                }
+            }
+            let sccs = g.sccs();
+            let first = sccs
+                .iter()
+                .find(|c| c.len() > 1 || g.has_edge(c[0], c[0]))
+                .cloned();
+            prop_assert_eq!(g.first_cyclic_scc(), first.clone());
+            prop_assert_eq!(dedup.sccs(), sccs);
+            prop_assert_eq!(dedup.first_cyclic_scc(), first.clone());
+            if let Some(comp) = first {
+                prop_assert_eq!(dedup.cycle_in_component(&comp), g.cycle_in_component(&comp));
+            }
+        }
+
         /// Every knot is closed: no edges leave it, and it contains a cycle.
         #[test]
         fn knots_are_closed_and_cyclic(n in 1usize..25,

@@ -11,10 +11,11 @@ use mdd_verify::{
     fault_orbit_key, AnalysisConfig, BaseAnalysis, FaultOutcome, FaultSet, FrontierReport, Verdict,
 };
 use std::io;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::Instant;
 
 /// The experiment engine. Construction picks the cache policy and the
@@ -122,42 +123,66 @@ impl Engine {
     where
         F: Fn(&Job) -> Result<SimResult, SchemeConfigError> + Send + Sync + 'static,
     {
-        // Static pre-flight: classify every distinct configuration shape
-        // once (load and seed do not enter the analysis, so a whole load
-        // sweep shares one verdict) and stamp it on each outcome.
-        let mut verdicts: Vec<(String, Option<Verdict>)> = Vec::new();
-        for job in &jobs {
-            let key = verify_key(&job.cfg);
-            if !verdicts.iter().any(|(k, _)| *k == key) {
-                let v = mdd_core::verify_config(&job.cfg).ok();
-                verdicts.push((key, v));
-            }
-        }
+        self.schedule(jobs, runner, |cfg: &SimConfig| {
+            mdd_core::verify_config(cfg).ok()
+        })
+    }
+
+    /// Schedule `jobs` with `verify` as the static pre-flight. Nothing
+    /// is verified on the calling thread: each distinct configuration
+    /// shape gets one compute-once [`VerdictSlot`], filled by the first
+    /// of its point tasks to run, and every outcome of that shape is
+    /// stamped from it before it is sent. The verdict is taken before a
+    /// point's clock starts, so `wall_micros` never includes it.
+    fn schedule<F, V>(&self, jobs: Vec<Job>, runner: F, verify: V) -> JobHandle
+    where
+        F: Fn(&Job) -> Result<SimResult, SchemeConfigError> + Send + Sync + 'static,
+        V: Fn(&SimConfig) -> Option<Verdict> + Send + Sync + 'static,
+    {
         let total = jobs.len();
         let (tx, rx) = mpsc::channel();
         let cancel = Arc::new(AtomicBool::new(false));
         if total > 0 {
             note_jobs_in_flight(1);
             let runner = Arc::new(runner);
+            let verify = Arc::new(verify);
             let pending = Arc::new(AtomicUsize::new(total));
+            // Load and seed do not enter the analysis, so a whole load
+            // sweep shares one slot.
+            let mut slots: Vec<(String, VerdictSlot)> = Vec::new();
             for job in jobs {
-                let verdict = verdicts
-                    .iter()
-                    .find(|(k, _)| *k == verify_key(&job.cfg))
-                    .and_then(|(_, v)| v.clone());
+                let key = verify_key(&job.cfg);
+                let slot = match slots.iter().find(|(k, _)| *k == key) {
+                    Some((_, slot)) => Arc::clone(slot),
+                    None => {
+                        let slot = VerdictSlot::default();
+                        slots.push((key, Arc::clone(&slot)));
+                        slot
+                    }
+                };
                 let inner = Arc::clone(&self.inner);
                 let tx = tx.clone();
                 let cancel = Arc::clone(&cancel);
                 let runner = Arc::clone(&runner);
+                let verify = Arc::clone(&verify);
                 let pending = Arc::clone(&pending);
                 self.inner.pool.spawn(move || {
+                    let verdict = slot
+                        .get_or_init(|| {
+                            catch_unwind(AssertUnwindSafe(|| verify(&job.cfg)))
+                                .map_err(|payload| panic_message(payload.as_ref()))
+                        })
+                        .clone();
                     // Exactly one outcome per job, always: a cancelled
                     // point reports as such rather than vanishing, so a
                     // drain always sees `total` messages.
                     let outcome = if cancel.load(Ordering::SeqCst) {
-                        cancelled_outcome(&job, verdict)
+                        cancelled_outcome(&job, verdict.ok().flatten())
                     } else {
-                        run_one(inner.cache.as_ref(), &job, runner.as_ref(), verdict)
+                        match verdict {
+                            Ok(v) => run_one(inner.cache.as_ref(), &job, runner.as_ref(), v),
+                            Err(msg) => verify_failed_outcome(&job, msg),
+                        }
                     };
                     let _ = tx.send(outcome);
                     if pending.fetch_sub(1, Ordering::SeqCst) == 1 {
@@ -454,6 +479,30 @@ where
     }
 }
 
+/// One configuration shape's pre-flight verdict, shared by every point
+/// task of that shape and computed by whichever runs first. `Err` holds
+/// the verifier's panic message; `Ok(None)` means the shape is
+/// infeasible for its scheme.
+type VerdictSlot = Arc<OnceLock<Result<Option<Verdict>, String>>>;
+
+/// The outcome of a point whose shape's pre-flight verifier panicked:
+/// the point fails without simulating.
+fn verify_failed_outcome(job: &Job, msg: String) -> PointOutcome {
+    mdd_obs::counter_add(CounterId::PointsFailed, 1);
+    PointOutcome {
+        job: job.clone(),
+        result: Err(PointError {
+            job: job.id,
+            label: job.label.clone(),
+            load: job.load(),
+            failure: PointFailure::Verify(msg),
+        }),
+        from_cache: false,
+        wall_micros: 0,
+        verdict: None,
+    }
+}
+
 fn cancelled_outcome(job: &Job, verdict: Option<Verdict>) -> PointOutcome {
     PointOutcome {
         job: job.clone(),
@@ -536,7 +585,8 @@ pub struct PointOutcome {
     pub wall_micros: u64,
     /// The static pre-flight verdict for this point's configuration
     /// (`None` only when the configuration is infeasible for its scheme —
-    /// such points fail at construction anyway).
+    /// such points fail at construction anyway — or when the verifier
+    /// panicked, which fails the point with [`PointFailure::Verify`]).
     pub verdict: Option<Verdict>,
 }
 
@@ -568,6 +618,19 @@ impl SweepReport {
     pub fn from_outcomes(mut outcomes: Vec<PointOutcome>) -> Self {
         outcomes.sort_by_key(|o| o.job.id);
         SweepReport { outcomes }
+    }
+
+    /// The sub-report of the jobs whose ids fall in `ids`: a batch that
+    /// concatenates several curves splits back into them this way.
+    pub fn jobs(&self, ids: Range<usize>) -> SweepReport {
+        SweepReport {
+            outcomes: self
+                .outcomes
+                .iter()
+                .filter(|o| ids.contains(&o.job.id))
+                .cloned()
+                .collect(),
+        }
     }
 
     /// Points served from the cache.
@@ -665,5 +728,88 @@ impl SweepReport {
             s.push_str(&format!(", {} cancelled", self.cancelled()));
         }
         s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mdd_core::{PatternSpec, Scheme};
+    use std::time::Duration;
+
+    fn tiny(scheme: Scheme) -> SimConfig {
+        SimConfig::builder()
+            .scheme(scheme)
+            .pattern(PatternSpec::pat271())
+            .radix(&[4, 4])
+            .windows(0, 50)
+            .build()
+            .expect("DR and PR are feasible on a 4x4 torus")
+    }
+
+    fn simulate(job: &Job) -> Result<SimResult, SchemeConfigError> {
+        Simulator::new(job.cfg.clone()).map(|mut sim| sim.run())
+    }
+
+    fn jobs() -> Vec<Job> {
+        let mut jobs = Job::points(&tiny(Scheme::ProgressiveRecovery), &[0.05, 0.10], "PR");
+        for job in Job::points(&tiny(Scheme::DeflectiveRecovery), &[0.05, 0.10], "DR") {
+            jobs.push(Job::new(jobs.len(), "DR", job.cfg));
+        }
+        jobs
+    }
+
+    #[test]
+    fn verifier_panic_fails_its_shape_and_the_stream_completes() {
+        let engine = Engine::builder().jobs(2).build().unwrap();
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&calls);
+        let report = engine
+            .schedule(jobs(), simulate, move |cfg: &SimConfig| {
+                counted.fetch_add(1, Ordering::SeqCst);
+                if cfg.scheme == Scheme::DeflectiveRecovery {
+                    panic!("verifier exploded");
+                }
+                mdd_core::verify_config(cfg).ok()
+            })
+            .wait();
+
+        // One verdict per shape, the panicking one included.
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        assert_eq!((report.simulated(), report.failed()), (2, 2));
+        for o in &report.outcomes {
+            if o.job.label == "DR" {
+                let failure = &o.result.as_ref().unwrap_err().failure;
+                assert!(
+                    matches!(failure, PointFailure::Verify(msg) if msg.contains("exploded")),
+                    "{failure:?}"
+                );
+                assert_eq!(o.verdict, None);
+            } else {
+                assert!(o.result.is_ok());
+                assert_eq!(o.verdict, mdd_core::verify_config(&o.job.cfg).ok());
+            }
+        }
+    }
+
+    #[test]
+    fn point_wall_time_excludes_the_verdict() {
+        const VERIFY_SLEEP: Duration = Duration::from_millis(300);
+        let engine = Engine::builder().jobs(2).build().unwrap();
+        let report = engine
+            .schedule(jobs(), simulate, |cfg: &SimConfig| {
+                std::thread::sleep(VERIFY_SLEEP);
+                mdd_core::verify_config(cfg).ok()
+            })
+            .wait();
+        assert!(report.complete());
+        for o in &report.outcomes {
+            assert!(
+                o.wall_micros < VERIFY_SLEEP.as_micros() as u64,
+                "point {} took {} us",
+                o.job.id,
+                o.wall_micros
+            );
+        }
     }
 }

@@ -13,6 +13,11 @@ pub enum PointFailure {
     /// panic was caught at the point boundary (`catch_unwind`), the
     /// worker thread survived, and every other point ran to completion.
     Panic(String),
+    /// The static pre-flight verifier panicked on this point's
+    /// configuration shape; the payload is the panic message. The point
+    /// was not simulated, and every other point of the same shape fails
+    /// the same way.
+    Verify(String),
     /// The batch was cancelled before this point started. The point was
     /// never simulated; its slot in the stream is filled by this marker
     /// so a drain still sees every outcome.
@@ -43,6 +48,7 @@ impl std::fmt::Display for PointError {
         match &self.failure {
             PointFailure::Config(e) => write!(f, "{e}"),
             PointFailure::Panic(msg) => write!(f, "simulation panicked: {msg}"),
+            PointFailure::Verify(msg) => write!(f, "pre-flight verifier panicked: {msg}"),
             PointFailure::Cancelled => write!(f, "cancelled before start"),
         }
     }
@@ -52,7 +58,7 @@ impl std::error::Error for PointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match &self.failure {
             PointFailure::Config(e) => Some(e),
-            PointFailure::Panic(_) | PointFailure::Cancelled => None,
+            PointFailure::Panic(_) | PointFailure::Verify(_) | PointFailure::Cancelled => None,
         }
     }
 }

@@ -20,7 +20,9 @@
 //! 3. **Fault isolation.** Every point runs under `catch_unwind`: a
 //!    poisoned point becomes a typed [`PointError`] in the stream while
 //!    every other point runs to completion. Configuration failures
-//!    surface the same way.
+//!    surface the same way, and so does a panic in the static pre-flight
+//!    verifier, which runs once per configuration shape inside the point
+//!    tasks ([`PointFailure::Verify`]).
 //! 4. **Content-addressed caching.** With [`Engine::with_cache_dir`],
 //!    each completed point is persisted to an append-only JSONL shard
 //!    keyed by the canonical hash of its configuration. Re-running an

@@ -314,7 +314,7 @@ pub struct PointEvent {
     /// Static pre-flight verdict name, when one was computed.
     pub verdict: Option<String>,
     /// The measured result, or the failure kind and message
-    /// (`"panic: …"`, `"config: …"`, `"cancelled"`).
+    /// (`"panic: …"`, `"verify: …"`, `"config: …"`, `"cancelled"`).
     pub result: Result<SimResult, String>,
 }
 
@@ -428,6 +428,7 @@ impl Event {
                 Err(e) => Err(match &e.failure {
                     PointFailure::Config(c) => format!("config: {c}"),
                     PointFailure::Panic(m) => format!("panic: {m}"),
+                    PointFailure::Verify(m) => format!("verify: {m}"),
                     PointFailure::Cancelled => "cancelled".to_string(),
                 }),
             },

@@ -134,6 +134,10 @@ pub(crate) fn witness_with(
 ) -> Option<CycleWitness> {
     let nv = cdg.num_vertices();
     let mut g = WaitForGraph::new(nv);
+    // Each residual arc is added once, at its first occurrence: classes
+    // sharing a vertex often share candidates. `last_src[w] == v` marks
+    // `v → w` as already added while `v`'s arcs are being collected.
+    let mut last_src = vec![u32::MAX; nv];
     for v in 0..nv {
         if outcome.vertex_safe[v] {
             continue;
@@ -143,7 +147,8 @@ pub(crate) fn witness_with(
                 continue;
             }
             for &w in cdg.cands(c) {
-                if !outcome.vertex_safe[w as usize] {
+                if !outcome.vertex_safe[w as usize] && last_src[w as usize] != v as u32 {
+                    last_src[w as usize] = v as u32;
                     g.add_edge(v as u32, w);
                 }
             }
@@ -154,17 +159,15 @@ pub(crate) fn witness_with(
             continue;
         }
         for &v in cdg.members(c) {
-            if !outcome.vertex_safe[v as usize] {
+            if !outcome.vertex_safe[v as usize] && !g.has_edge(v, w) {
                 g.add_edge(v, w);
             }
         }
     }
 
-    for comp in g.sccs() {
+    // The first cyclic SCC is the only one the witness needs.
+    g.first_cyclic_scc().map(|comp| {
         let cycle = g.cycle_in_component(&comp);
-        if cycle.is_empty() {
-            continue;
-        }
         let notes: Vec<String> = cycle
             .iter()
             .map(|&v| {
@@ -175,10 +178,9 @@ pub(crate) fn witness_with(
             })
             .collect();
         let rendered = cdg.layout.format_cycle(&cycle, &notes);
-        return Some(CycleWitness {
+        CycleWitness {
             vertices: cycle,
             rendered,
-        });
-    }
-    None
+        }
+    })
 }
