@@ -15,6 +15,21 @@ echo "==> perfbench tests (traced replay equals Simulator)"
 # perfbench is a workspace of its own, so --workspace above skips it.
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
+echo "==> traced replay smoke (sat-64x64, replay must not drift from Simulator::step)"
+# The traced replay re-implements Simulator::step layer by layer. After a
+# router-layer change it must still reproduce the simulator exactly: the
+# run must be correct with no failed operation and no stale replay.
+cargo build --release --offline -q --manifest-path perfbench/Cargo.toml
+trace_line=$(perfbench/target/release/mdd-perfbench \
+    --workload sat-64x64 --seed 1 --seconds 1 --trace 1 | tail -n 1)
+replay_check() { # pattern what
+    echo "$trace_line" | grep -Eq "$1" || {
+        echo "traced replay smoke: $2:"; echo "$trace_line"; exit 1; }
+}
+replay_check '"correct": true' "result is not correct"
+replay_check '"failed": 0[,}]' "an operation failed"
+replay_check '"bench\.replay_stale": \{"value": 0(\.0)?,' "bench.replay_stale is not 0"
+
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

@@ -62,6 +62,15 @@ pub enum ConfigError {
     ZeroVirtualChannels,
     /// Zero flit buffers per virtual channel.
     ZeroFlitBuffers,
+    /// More flit buffers per virtual channel than the router state can
+    /// index: ring heads, buffer lengths and used-credit counts are
+    /// 16-bit ([`mdd_router::MAX_BUF_DEPTH`]).
+    FlitBufferTooDeep {
+        /// The requested depth.
+        flit_buf: u32,
+        /// The deepest supported buffer.
+        max: u32,
+    },
     /// Zero-capacity endpoint message queues.
     ZeroQueueCapacity,
     /// Zero outstanding-transaction (MSHR) limit — no node could ever
@@ -118,6 +127,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroBristle => write!(f, "bristle factor must be at least 1"),
             ConfigError::ZeroVirtualChannels => write!(f, "at least 1 virtual channel required"),
             ConfigError::ZeroFlitBuffers => write!(f, "at least 1 flit buffer per VC required"),
+            ConfigError::FlitBufferTooDeep { flit_buf, max } => {
+                write!(f, "{flit_buf} flit buffers per VC exceed the supported maximum of {max}")
+            }
             ConfigError::ZeroQueueCapacity => write!(f, "endpoint queue capacity must be nonzero"),
             ConfigError::ZeroMshrLimit => write!(f, "MSHR limit must be nonzero"),
             ConfigError::ZeroDetectThreshold => {
@@ -198,6 +210,12 @@ impl SimConfig {
         }
         if self.flit_buf == 0 {
             return Err(ConfigError::ZeroFlitBuffers);
+        }
+        if self.flit_buf > mdd_router::MAX_BUF_DEPTH {
+            return Err(ConfigError::FlitBufferTooDeep {
+                flit_buf: self.flit_buf,
+                max: mdd_router::MAX_BUF_DEPTH,
+            });
         }
         if self.queue_capacity == 0 {
             return Err(ConfigError::ZeroQueueCapacity);

@@ -27,7 +27,7 @@ mod store;
 mod types;
 
 pub use message::{IdAlloc, Message, MessageId, TransactionId};
-pub use store::{MessageStore, MsgHandle};
+pub use store::{HandleBits, MessageStore, MsgHandle};
 pub use queue_org::QueueOrg;
 pub use pattern::{PatternSpec, ShapeId};
 pub use shape::{HopTarget, TransactionShape};

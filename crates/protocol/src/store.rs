@@ -54,7 +54,46 @@ impl MsgHandle {
             gen: u32::MAX,
         }
     }
+
+    /// The handle as one integer, for flat state arrays that must be
+    /// allocatable as all-zero memory (`vec![0; n]`). The slot occupies the
+    /// low 32 bits; debug builds keep the generation in the high 32.
+    ///
+    /// ```
+    /// use mdd_protocol::MsgHandle;
+    /// let h = MsgHandle::dangling();
+    /// assert_eq!(MsgHandle::from_bits(h.to_bits()), h);
+    /// assert_eq!(MsgHandle::from_bits(0).slot(), 0);
+    /// ```
+    #[inline]
+    pub fn to_bits(self) -> HandleBits {
+        #[cfg(debug_assertions)]
+        return u64::from(self.gen) << 32 | u64::from(self.slot);
+        #[cfg(not(debug_assertions))]
+        return self.slot;
+    }
+
+    /// Inverse of [`MsgHandle::to_bits`]. Bits that did not come from
+    /// `to_bits` give a handle that resolves to nothing or fails the
+    /// store's stale-handle check; they never alias memory.
+    #[inline]
+    pub fn from_bits(bits: HandleBits) -> Self {
+        MsgHandle {
+            slot: bits as u32,
+            #[cfg(debug_assertions)]
+            gen: (bits >> 32) as u32,
+        }
+    }
 }
+
+/// Integer form of a [`MsgHandle`] ([`MsgHandle::to_bits`]): `u32` in
+/// release builds, `u64` (slot plus generation) in debug builds.
+#[cfg(not(debug_assertions))]
+pub type HandleBits = u32;
+/// Integer form of a [`MsgHandle`] ([`MsgHandle::to_bits`]): `u32` in
+/// release builds, `u64` (slot plus generation) in debug builds.
+#[cfg(debug_assertions)]
+pub type HandleBits = u64;
 
 #[derive(Clone, Debug)]
 struct Slot {

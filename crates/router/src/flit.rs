@@ -110,6 +110,13 @@ impl PacketTable {
         Some(st)
     }
 
+    /// True if `h` itself (slot *and* generation) is in flight. Unlike
+    /// [`PacketTable::get`], a stale handle is a plain `false`, never a
+    /// debug panic — the form an auditor needs.
+    pub fn contains(&self, h: MsgHandle) -> bool {
+        matches!(self.slots.get(h.slot() as usize), Some(Some(st)) if st.msg == h)
+    }
+
     /// Mutable routing state of packet `h`, or `None` if not in flight.
     #[inline]
     pub fn get_mut(&mut self, h: MsgHandle) -> Option<&mut PacketState> {

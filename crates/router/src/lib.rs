@@ -34,8 +34,8 @@ mod traits;
 mod vc;
 
 pub use flit::{Flit, PacketState, PacketTable};
-pub use network::{ExtractedPacket, Network, NetworkCounters, ShardPlan};
-pub use router::Router;
+pub use network::{AuditError, ExtractedPacket, Network, NetworkCounters, ShardPlan};
+pub use router::{Router, MAX_BUF_DEPTH};
 pub use traits::{AcceptAll, EjectControl, RouteCandidate, Routing};
 pub use vc::{OutVc, VcRef};
 

@@ -1,37 +1,406 @@
-//! Per-router state in structure-of-arrays form: input virtual channels,
-//! output virtual channels and arbitration pointers.
+//! Router state: one router-major structure-of-arrays slab for the whole
+//! network, and the borrowed [`Router`] read view over one router's rows.
 //!
-//! Every per-VC field lives in its own contiguous array indexed by the
-//! flat slot `port * vcs + vc`, so each pipeline sweep (occupancy walk,
-//! route gather, credit check, blocked-timer mark) touches exactly one
-//! cache-resident array per field instead of striding through a
-//! buffer-sized record per slot. Flit storage is one flat ring
-//! (`buf_depth` entries per slot), so block operations — burst extraction
-//! runs, the debug shadow snapshot — are plain `memcpy`-shaped moves.
+//! Every field is one flat array owned by the network. Per-slot fields
+//! are indexed `r * slots + s` (flat slot `s = port * vcs + vc`),
+//! per-port fields `r * ports + p`, per-router scalars `r`, and flit
+//! storage `(r * slots + s) * depth + k` (one `depth`-entry ring per
+//! slot). A pass over an ascending worklist therefore reads each array in
+//! address order, and consecutive routers sit next to each other.
+//!
+//! Sentinels are encoded so that all-zero bytes are a pristine router
+//! (empty buffers, full credits, nothing routed, owned or blocked): the
+//! route is stored as port + 1, the blocked timer as cycle + 1, the stall
+//! memo as epoch + 1, and output credits as credits *used*. Every array
+//! is allocated zeroed, so construction writes nothing and a router that
+//! never sees a flit costs only untouched zero pages.
 
 use crate::flit::Flit;
 use crate::vc::{OutVc, VcRef};
-use mdd_protocol::MsgHandle;
+use mdd_protocol::{HandleBits, MsgHandle};
 use mdd_topology::PortId;
 
-/// `route_port` sentinel: no route allocated.
-pub(crate) const NO_ROUTE: u8 = u8::MAX;
-/// `blocked` sentinel: the slot's front flit is not (yet) blocked.
-pub(crate) const NOT_BLOCKED: u64 = u64::MAX;
-/// `stall_epoch` sentinel: no memoized allocation stall.
-pub(crate) const EPOCH_NONE: u64 = u64::MAX;
+/// Deepest flit buffer per virtual channel the router state supports:
+/// ring heads, buffer lengths and used-credit counts are `u16`.
+pub const MAX_BUF_DEPTH: u32 = u16::MAX as u32;
 
-/// One wormhole router: `ports_per_router` input ports and output ports,
-/// each with `vcs` virtual channels, stored as structure-of-arrays.
-///
-/// Flat slot index `port * vcs + vc` addresses every per-VC array. Public
-/// read access goes through the [`VcRef`] / [`OutVc`] views:
+/// Shape of one router's rows: the strides of the slab's arrays.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Dims {
+    pub(crate) ports: usize,
+    pub(crate) vcs: usize,
+    /// `ports * vcs` (at most 128: one `u128` masks a router).
+    pub(crate) slots: usize,
+    pub(crate) depth: usize,
+}
+
+impl Dims {
+    pub(crate) fn new(ports: usize, vcs: u8, buf_depth: u32) -> Self {
+        let slots = ports * vcs as usize;
+        assert!(
+            slots <= 128,
+            "occupancy bitmask supports at most 128 VC slots per router"
+        );
+        assert!(
+            buf_depth <= MAX_BUF_DEPTH,
+            "flit buffers deeper than 65535 are unsupported"
+        );
+        Dims {
+            ports,
+            vcs: vcs as usize,
+            slots,
+            depth: buf_depth as usize,
+        }
+    }
+}
+
+/// Entries per router of an array of the given kind.
+macro_rules! stride {
+    ($d:expr, flit) => {
+        $d.slots * $d.depth
+    };
+    ($d:expr, slot) => {
+        $d.slots
+    };
+    ($d:expr, port) => {
+        $d.ports
+    };
+    ($d:expr, router) => {
+        1
+    };
+}
+
+/// Declares the slab's arrays once and derives from that list the owning
+/// [`Slab`], the mutable window [`Rows`], and the whole-row operations
+/// (allocate, split, copy, zero, size), so no operation can miss a field.
+macro_rules! slab {
+    ($($(#[$doc:meta])* $name:ident: [$ty:ty; $kind:ident],)*) => {
+        /// The network's router state: every array router-major, allocated
+        /// zeroed (see the module docs for the layout and the encodings).
+        #[derive(Debug, Default)]
+        pub(crate) struct Slab {
+            pub(crate) dims: Dims,
+            /// Number of routers.
+            pub(crate) routers: usize,
+            $($(#[$doc])* pub(crate) $name: Vec<$ty>,)*
+        }
+
+        /// A mutable window over a contiguous router range of the slab:
+        /// the whole network for the sequential step, one shard's range
+        /// for the sharded step. Indexes are relative to the window start.
+        pub(crate) struct Rows<'a> {
+            pub(crate) dims: Dims,
+            $(pub(crate) $name: &'a mut [$ty],)*
+        }
+
+        impl Slab {
+            /// A slab for `routers` routers whose arrays are not allocated
+            /// yet ([`Slab::allocate`]).
+            pub(crate) fn new(dims: Dims, routers: usize) -> Self {
+                Slab {
+                    dims,
+                    routers,
+                    ..Slab::default()
+                }
+            }
+
+            /// Allocate every array zeroed: `routers` pristine routers.
+            /// Writes nothing itself (recycled heap memory may still cost
+            /// the allocator a clearing pass).
+            pub(crate) fn allocate(&mut self) {
+                let d = self.dims;
+                $(self.$name = vec![<$ty>::default(); self.routers * stride!(d, $kind)];)*
+            }
+
+            /// True once [`Slab::allocate`] has run.
+            #[inline]
+            pub(crate) fn is_allocated(&self) -> bool {
+                !self.flits.is_empty()
+            }
+
+            /// The whole slab as one mutable window.
+            #[inline]
+            pub(crate) fn rows_mut(&mut self) -> Rows<'_> {
+                Rows {
+                    dims: self.dims,
+                    $($name: &mut self.$name,)*
+                }
+            }
+
+            /// Copy routers `lo..hi` of `src` (same shape) over this slab's.
+            #[cfg(debug_assertions)]
+            pub(crate) fn copy_rows(&mut self, src: &Slab, lo: usize, hi: usize) {
+                let d = self.dims;
+                $(
+                    let k = stride!(d, $kind);
+                    self.$name[lo * k..hi * k].copy_from_slice(&src.$name[lo * k..hi * k]);
+                )*
+            }
+
+            /// Reset routers `lo..hi` to pristine (all zero).
+            pub(crate) fn zero_rows(&mut self, lo: usize, hi: usize) {
+                let d = self.dims;
+                $(
+                    let k = stride!(d, $kind);
+                    self.$name[lo * k..hi * k].fill(<$ty>::default());
+                )*
+            }
+
+            /// Bytes of state per router, summed over every array.
+            pub(crate) fn row_bytes(&self) -> u64 {
+                let d = self.dims;
+                (0 $(+ stride!(d, $kind) * std::mem::size_of::<$ty>())*) as u64
+            }
+        }
+
+        impl<'a> Rows<'a> {
+            /// Split into the first `n` routers and the rest.
+            pub(crate) fn split_at(self, n: usize) -> (Rows<'a>, Rows<'a>) {
+                let d = self.dims;
+                $(let $name = self.$name.split_at_mut(n * stride!(d, $kind));)*
+                (
+                    Rows { dims: d, $($name: $name.0,)* },
+                    Rows { dims: d, $($name: $name.1,)* },
+                )
+            }
+        }
+    };
+}
+
+slab! {
+    /// Flit storage, message half ([`MsgHandle::to_bits`]).
+    fl_msg: [HandleBits; flit],
+    /// Flit storage, `seq << 1 | is_tail`.
+    fl_seq: [u32; flit],
+    /// Ring head offset of each slot's FIFO (`< depth`).
+    head: [u16; slot],
+    /// Buffered flits per slot (`<= depth`).
+    len: [u16; slot],
+    /// Allocated output port of the front packet, plus one (0 = unrouted).
+    route: [u8; slot],
+    /// Allocated output VC of the front packet (valid iff routed).
+    route_vc: [u8; slot],
+    /// First cycle the front flit failed to advance, plus one (0 = making
+    /// progress). Drives the deadlock-detection timers.
+    blocked: [u64; slot],
+    /// Allocation-stall memo: the router's `alloc_epoch` plus one at
+    /// which this slot's head last found every candidate output VC owned
+    /// (0 = none). While it still matches, the candidate recomputation is
+    /// skipped: no output VC on this router was released since.
+    /// Invalidated whenever the slot's front flit changes.
+    stall_epoch: [u64; slot],
+    /// Owner of each output VC, valid only where `out_owned` has the bit.
+    out_owner: [HandleBits; slot],
+    /// Credits in use per output VC: flits sent downstream whose buffer
+    /// slot has not been returned yet. `depth - out_used` credits remain.
+    out_used: [u16; slot],
+    /// Busy cycles per output VC (only network ports are incremented).
+    vc_busy: [u64; slot],
+    /// Switch-allocation round-robin pointer per output port (`< slots`).
+    rr_out: [u8; port],
+    /// Occupancy mask: bit `s` set iff slot `s` buffers at least one flit.
+    /// Scanning set bits in rotated ascending order reproduces the dense
+    /// full-array scan, because every slot that scan acts on holds a flit.
+    in_occ: [u128; router],
+    /// Ownership mask: bit `s` set iff output VC `s` is held by a packet.
+    out_owned: [u128; router],
+    /// Rotation offset for the VC-allocation scan, advanced once per cycle.
+    rr_alloc: [u32; router],
+    /// First cycle whose `rr_alloc` advance has not been applied yet. A
+    /// woken router catches up lazily ([`Rows::sync_rr_alloc`]) to the
+    /// offset the dense schedule would have produced.
+    rr_cycle: [u64; router],
+    /// Bumped every time an output VC is released; the validity clock of
+    /// `stall_epoch`.
+    alloc_epoch: [u64; router],
+    /// Buffered flits per router: O(1) occupancy for quiescence checks and
+    /// the blocked-head sweep.
+    flits: [u32; router],
+    /// True when the router's latest fused pass proved it fully stalled:
+    /// no grant, no allocation, every waiting head memo-stalled away from
+    /// its destination. It then sleeps until an external event wakes it
+    /// (destination heads disqualify: ejection must be re-asked every
+    /// cycle as endpoint queues drain without waking the router).
+    sleep_ok: [bool; router],
+    /// Cycle of the router's last fused pass, paired with `sleep_stalls`
+    /// to reconstruct the stall count a re-arming scheduler would have
+    /// accumulated across a slept gap.
+    last_pass: [u64; router],
+    /// Memo-stalled waiting heads when the router went to sleep.
+    sleep_stalls: [u32; router],
+}
+
+/// Flit at ring position `k` (0 = front) of the FIFO whose flat slot
+/// index (`r * slots + s`) is `i`.
+#[inline]
+fn ring_flit(
+    fl_msg: &[HandleBits],
+    fl_seq: &[u32],
+    head: &[u16],
+    depth: usize,
+    i: usize,
+    k: usize,
+) -> Flit {
+    let pos = i * depth + (head[i] as usize + k) % depth;
+    unpack(fl_msg[pos], fl_seq[pos])
+}
+
+#[inline]
+fn unpack(msg: HandleBits, seq: u32) -> Flit {
+    Flit {
+        msg: MsgHandle::from_bits(msg),
+        seq: seq >> 1,
+        is_tail: seq & 1 == 1,
+    }
+}
+
+impl Slab {
+    /// Buffered flits in flat slot `i`.
+    #[inline]
+    pub(crate) fn len_at(&self, i: usize) -> usize {
+        self.len[i] as usize
+    }
+
+    /// The `k`-th buffered flit of flat slot `i` (0 = front); `k < len`.
+    #[inline]
+    pub(crate) fn flit_at(&self, i: usize, k: usize) -> Flit {
+        debug_assert!(k < self.len[i] as usize);
+        ring_flit(
+            &self.fl_msg,
+            &self.fl_seq,
+            &self.head,
+            self.dims.depth,
+            i,
+            k,
+        )
+    }
+}
+
+impl Rows<'_> {
+    /// The `k`-th buffered flit of slot `s` of router `li` (0 = front);
+    /// caller guarantees `k < len`.
+    #[inline]
+    pub(crate) fn flit_at(&self, li: usize, s: usize, k: usize) -> Flit {
+        let i = li * self.dims.slots + s;
+        debug_assert!(k < self.len[i] as usize);
+        ring_flit(self.fl_msg, self.fl_seq, self.head, self.dims.depth, i, k)
+    }
+
+    /// Append an arriving flit to slot `s` of router `li`. Panics on
+    /// overflow (credits must prevent it). Marks occupancy and, when the
+    /// flit becomes the front, invalidates the stall memo.
+    #[inline]
+    pub(crate) fn push_flit(&mut self, li: usize, s: usize, flit: Flit) {
+        assert!(
+            flit.seq < 1 << 31,
+            "flit sequence number exceeds the 31-bit ring encoding"
+        );
+        let depth = self.dims.depth;
+        let i = li * self.dims.slots + s;
+        let len = self.len[i] as usize;
+        assert!(
+            len < depth,
+            "VC buffer overflow: credit accounting violated"
+        );
+        let pos = i * depth + (self.head[i] as usize + len) % depth;
+        self.fl_msg[pos] = flit.msg.to_bits();
+        self.fl_seq[pos] = flit.seq << 1 | flit.is_tail as u32;
+        self.len[i] = (len + 1) as u16;
+        if len == 0 {
+            self.in_occ[li] |= 1 << s;
+            self.stall_epoch[i] = 0;
+        }
+    }
+
+    /// Remove and return the front flit of slot `s` of router `li`. The
+    /// front changes, so the stall memo is invalidated.
+    #[inline]
+    pub(crate) fn pop_flit(&mut self, li: usize, s: usize) -> Flit {
+        let depth = self.dims.depth;
+        let i = li * self.dims.slots + s;
+        debug_assert!(self.len[i] > 0, "pop from empty VC buffer");
+        let flit = ring_flit(self.fl_msg, self.fl_seq, self.head, depth, i, 0);
+        self.head[i] = ((self.head[i] as usize + 1) % depth) as u16;
+        self.len[i] -= 1;
+        if self.len[i] == 0 {
+            self.in_occ[li] &= !(1 << s);
+        }
+        self.stall_epoch[i] = 0;
+        flit
+    }
+
+    /// Remove the contiguous run `[start, start + n)` of buffered flits
+    /// from slot `s` of router `li` in one block operation: a front run
+    /// is a head advance, a back run a length cut, a middle run one block
+    /// shift of the tail — never a per-flit walk.
+    pub(crate) fn remove_run(&mut self, li: usize, s: usize, start: usize, n: usize) {
+        let depth = self.dims.depth;
+        let i = li * self.dims.slots + s;
+        let len = self.len[i] as usize;
+        let head = self.head[i] as usize;
+        debug_assert!(n > 0 && start + n <= len);
+        if start == 0 {
+            self.head[i] = ((head + n) % depth) as u16;
+        } else {
+            // A no-op for a back run: the loop body never executes.
+            for k in start..(len - n) {
+                let src = i * depth + (head + k + n) % depth;
+                let dst = i * depth + (head + k) % depth;
+                self.fl_msg[dst] = self.fl_msg[src];
+                self.fl_seq[dst] = self.fl_seq[src];
+            }
+        }
+        self.len[i] = (len - n) as u16;
+        if self.len[i] == 0 {
+            self.in_occ[li] &= !(1 << s);
+        }
+        self.stall_epoch[i] = 0;
+    }
+
+    /// True if output VC `s` of router `li` is unowned.
+    #[inline]
+    pub(crate) fn out_free(&self, li: usize, s: usize) -> bool {
+        self.out_owned[li] >> s & 1 == 0
+    }
+
+    /// Record `h` as the owner of output VC `s` of router `li`.
+    #[inline]
+    pub(crate) fn own_out(&mut self, li: usize, s: usize, h: MsgHandle) {
+        self.out_owner[li * self.dims.slots + s] = h.to_bits();
+        self.out_owned[li] |= 1 << s;
+    }
+
+    /// Release output VC `s` of router `li`. Advances the allocation
+    /// epoch: a freed output VC is the only event that can turn a stalled
+    /// allocation into a success, so every memoized stall expires here.
+    #[inline]
+    pub(crate) fn release_out(&mut self, li: usize, s: usize) {
+        self.out_owned[li] &= !(1 << s);
+        self.alloc_epoch[li] += 1;
+    }
+
+    /// Apply the per-cycle `rr_alloc` advance for every cycle since router
+    /// `li` was last processed, up to (not including) `cycle`.
+    #[inline]
+    pub(crate) fn sync_rr_alloc(&mut self, li: usize, cycle: u64) {
+        let lag = cycle.saturating_sub(self.rr_cycle[li]);
+        if lag > 0 {
+            self.rr_alloc[li] = self.rr_alloc[li].wrapping_add(lag as u32);
+            self.rr_cycle[li] = cycle;
+        }
+    }
+}
+
+/// Read view of one router's rows in the network slab: `ports` input and
+/// output ports, each with `vcs` virtual channels. A router that never
+/// held a flit reads pristine: empty buffers, full credits, no owners.
 ///
 /// ```
-/// use mdd_router::Router;
-/// use mdd_topology::PortId;
+/// use mdd_router::Network;
+/// use mdd_topology::{NodeId, PortId, Topology, TopologyKind};
 ///
-/// let r = Router::new(5, 2, 2);
+/// let net = Network::new(Topology::new(TopologyKind::Torus, &[4, 4], 1), 2, 2);
+/// let r = net.router(NodeId(5));
 /// assert_eq!(r.ports(), 5);
 /// assert_eq!(r.vcs(), 2);
 /// let vc = r.vc(PortId(3), 1);
@@ -42,401 +411,118 @@ pub(crate) const EPOCH_NONE: u64 = u64::MAX;
 /// assert!(ovc.is_free());
 /// assert_eq!(ovc.credits, 2);
 /// ```
-#[derive(Debug)]
-pub struct Router {
-    /// Flat ring flit storage: slot `s` owns `bufs[s*depth .. (s+1)*depth]`.
-    pub(crate) bufs: Vec<Flit>,
-    /// Ring head offset of each slot's FIFO (`< depth`).
-    pub(crate) head: Vec<u16>,
-    /// Buffered flits per slot (`<= depth`).
-    pub(crate) len: Vec<u16>,
-    /// Allocated output port of the front packet ([`NO_ROUTE`] = none).
-    pub(crate) route_port: Vec<u8>,
-    /// Allocated output VC of the front packet (valid iff routed).
-    pub(crate) route_vc: Vec<u8>,
-    /// First cycle the front flit failed to advance ([`NOT_BLOCKED`] =
-    /// making progress). Drives the deadlock-detection timers.
-    pub(crate) blocked: Vec<u64>,
-    /// Allocation-stall memo: the [`Router::alloc_epoch`] at which this
-    /// slot's head last found every candidate output VC owned. While the
-    /// epoch still matches, the whole candidate recomputation is skipped —
-    /// no output VC on this router has been released since, so the stall
-    /// outcome is unchanged by construction. Invalidated ([`EPOCH_NONE`])
-    /// whenever the slot's front flit changes.
-    pub(crate) stall_epoch: Vec<u64>,
-    /// Owner of each output VC — valid only where [`Router::out_owned`]
-    /// has the bit set (placeholder handles elsewhere).
-    pub(crate) out_owner: Vec<MsgHandle>,
-    /// Credits (free downstream buffer slots) per output VC.
-    pub(crate) out_credits: Vec<u32>,
-    /// Validity mask over `out_owner`: bit `s` set iff output VC `s` is
-    /// owned by a packet.
-    pub(crate) out_owned: u128,
-    /// Round-robin pointer per output port, rotating switch-allocation
-    /// priority over `(input port, vc)` requesters.
-    pub(crate) rr_out: Vec<u32>,
-    /// Rotation offset for the VC-allocation scan, advanced every cycle to
-    /// avoid structural starvation.
-    pub(crate) rr_alloc: u32,
-    /// First cycle whose `rr_alloc` advancement has not yet been applied.
-    /// The dense scan bumped `rr_alloc` once per cycle for every router;
-    /// the activity-driven scan instead catches a woken router up lazily
-    /// ([`Router::sync_rr_alloc`]) so its rotation offset is bit-identical
-    /// to what the dense schedule would have produced.
-    pub(crate) rr_cycle: u64,
-    /// Occupancy bitmask over input-VC slots: bit `s` is set iff slot `s`
-    /// buffers at least one flit. Maintained at every flit push, pop and
-    /// extraction so the fused pass visits only occupied slots; scanning
-    /// set bits in (rotated) ascending order reproduces the dense
-    /// full-array scan exactly, because every slot the dense scan would
-    /// act on holds at least one flit.
-    pub(crate) in_occ: u128,
-    /// Bumped every time an output VC owner is released (tail passage,
-    /// extraction). Validity clock for [`Router::stall_epoch`].
-    pub(crate) alloc_epoch: u64,
-    /// Busy cycles per output VC slot (network ports only are ever
-    /// incremented). Lives in the router chunk — not a network-wide dense
-    /// array — so a never-woken router contributes zero bytes.
-    pub(crate) vc_busy: Vec<u64>,
-    nvcs: u8,
-    depth: u16,
+#[derive(Clone, Copy)]
+pub struct Router<'a> {
+    slab: &'a Slab,
+    r: usize,
 }
 
-impl Router {
-    /// Create a router with `ports` ports, `vcs` VCs per port, and
-    /// `buf_depth`-flit input buffers per VC.
-    pub fn new(ports: usize, vcs: u8, buf_depth: u32) -> Self {
-        let slots = ports * vcs as usize;
-        assert!(slots <= 128, "occupancy bitmask supports at most 128 VC slots per router");
-        assert!(buf_depth <= u16::MAX as u32, "flit buffers deeper than 65535 are unsupported");
-        let depth = buf_depth as u16;
-        Router {
-            bufs: vec![
-                Flit {
-                    msg: MsgHandle::dangling(),
-                    seq: 0,
-                    is_tail: false,
-                };
-                slots * depth as usize
-            ],
-            head: vec![0; slots],
-            len: vec![0; slots],
-            route_port: vec![NO_ROUTE; slots],
-            route_vc: vec![0; slots],
-            blocked: vec![NOT_BLOCKED; slots],
-            stall_epoch: vec![EPOCH_NONE; slots],
-            out_owner: vec![MsgHandle::dangling(); slots],
-            out_credits: vec![buf_depth; slots],
-            out_owned: 0,
-            rr_out: vec![0; ports],
-            rr_alloc: 0,
-            rr_cycle: 0,
-            in_occ: 0,
-            alloc_epoch: 0,
-            vc_busy: vec![0; slots],
-            nvcs: vcs,
-            depth,
-        }
+impl std::fmt::Debug for Router<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Router")
+            .field("buffered_flits", &self.buffered_flits())
+            .finish()
     }
+}
 
-    /// Restore every field to the freshly-constructed state without
-    /// releasing any allocation — the free-pool recycle path of the lazily
-    /// materialized network. A recycled chunk must be indistinguishable
-    /// from [`Router::new`]'s output (the debug shadow checker compares
-    /// whole arrays, dead buffer entries included), so the flit store is
-    /// refilled with the same placeholder pattern.
-    pub(crate) fn reset(&mut self) {
-        self.bufs.fill(Flit {
-            msg: MsgHandle::dangling(),
-            seq: 0,
-            is_tail: false,
-        });
-        self.head.fill(0);
-        self.len.fill(0);
-        self.route_port.fill(NO_ROUTE);
-        self.route_vc.fill(0);
-        self.blocked.fill(NOT_BLOCKED);
-        self.stall_epoch.fill(EPOCH_NONE);
-        self.out_owner.fill(MsgHandle::dangling());
-        self.out_credits.fill(self.depth as u32);
-        self.out_owned = 0;
-        self.rr_out.fill(0);
-        self.rr_alloc = 0;
-        self.rr_cycle = 0;
-        self.in_occ = 0;
-        self.alloc_epoch = 0;
-        self.vc_busy.fill(0);
-    }
-
-    /// Heap + inline bytes held by this router's state chunk — the unit
-    /// behind the `router_state_bytes` observability gauge.
-    pub fn state_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        (size_of::<Self>()
-            + self.bufs.capacity() * size_of::<Flit>()
-            + self.head.capacity() * size_of::<u16>()
-            + self.len.capacity() * size_of::<u16>()
-            + self.route_port.capacity()
-            + self.route_vc.capacity()
-            + self.blocked.capacity() * size_of::<u64>()
-            + self.stall_epoch.capacity() * size_of::<u64>()
-            + self.out_owner.capacity() * size_of::<MsgHandle>()
-            + self.out_credits.capacity() * size_of::<u32>()
-            + self.rr_out.capacity() * size_of::<u32>()
-            + self.vc_busy.capacity() * size_of::<u64>()) as u64
-    }
-
-    /// Append an arriving flit to slot `slot`. Panics on overflow —
-    /// credits must prevent this. Marks occupancy and, when the buffer was
-    /// empty (the flit becomes the front), invalidates the stall memo.
+impl<'a> Router<'a> {
     #[inline]
-    pub(crate) fn push_flit(&mut self, slot: usize, flit: Flit) {
-        let depth = self.depth as usize;
-        let len = self.len[slot] as usize;
-        assert!(len < depth, "VC buffer overflow: credit accounting violated");
-        let pos = slot * depth + (self.head[slot] as usize + len) % depth;
-        self.bufs[pos] = flit;
-        self.len[slot] = (len + 1) as u16;
-        if len == 0 {
-            self.in_occ |= 1 << slot;
-            self.stall_epoch[slot] = EPOCH_NONE;
-        }
-    }
-
-    /// Remove and return slot `slot`'s front flit. The front changes, so
-    /// the stall memo is invalidated; occupancy is re-derived.
-    #[inline]
-    pub(crate) fn pop_flit(&mut self, slot: usize) -> Flit {
-        let depth = self.depth as usize;
-        debug_assert!(self.len[slot] > 0, "pop from empty VC buffer");
-        let flit = self.bufs[slot * depth + self.head[slot] as usize];
-        self.head[slot] = ((self.head[slot] as usize + 1) % depth) as u16;
-        self.len[slot] -= 1;
-        if self.len[slot] == 0 {
-            self.in_occ &= !(1 << slot);
-        }
-        self.stall_epoch[slot] = EPOCH_NONE;
-        flit
-    }
-
-    /// Slot `slot`'s front flit, if any.
-    #[inline]
-    pub(crate) fn front_flit(&self, slot: usize) -> Option<Flit> {
-        if self.len[slot] == 0 {
-            None
-        } else {
-            Some(self.bufs[slot * self.depth as usize + self.head[slot] as usize])
-        }
-    }
-
-    /// The `k`-th buffered flit of slot `slot` (0 = front). Caller
-    /// guarantees `k < len`.
-    #[inline]
-    pub(crate) fn flit_at(&self, slot: usize, k: usize) -> Flit {
-        let depth = self.depth as usize;
-        debug_assert!(k < self.len[slot] as usize);
-        self.bufs[slot * depth + (self.head[slot] as usize + k) % depth]
-    }
-
-    /// Remove the contiguous run `[run_start, run_start + run_len)` of
-    /// buffered flits from slot `slot` in one block operation: a front run
-    /// is a head advance, a back run a length cut, and a middle run one
-    /// block shift of the tail — never a per-flit `retain` walk.
-    pub(crate) fn remove_run(&mut self, slot: usize, run_start: usize, run_len: usize) {
-        let depth = self.depth as usize;
-        let len = self.len[slot] as usize;
-        debug_assert!(run_len > 0 && run_start + run_len <= len);
-        if run_start == 0 {
-            // Front run: advance the ring head, no data movement.
-            self.head[slot] = ((self.head[slot] as usize + run_len) % depth) as u16;
-        } else {
-            // Shift the tail of the FIFO over the removed run (a no-op for
-            // a back run: the loop body never executes).
-            for k in run_start..(len - run_len) {
-                let src = slot * depth + (self.head[slot] as usize + k + run_len) % depth;
-                let dst = slot * depth + (self.head[slot] as usize + k) % depth;
-                self.bufs[dst] = self.bufs[src];
-            }
-        }
-        self.len[slot] = (len - run_len) as u16;
-        if self.len[slot] == 0 {
-            self.in_occ &= !(1 << slot);
-        }
-        self.stall_epoch[slot] = EPOCH_NONE;
-    }
-
-    /// The front packet's allocated route, if any.
-    #[inline]
-    pub(crate) fn route_of(&self, slot: usize) -> Option<(PortId, u8)> {
-        if self.route_port[slot] == NO_ROUTE {
-            None
-        } else {
-            Some((PortId(self.route_port[slot]), self.route_vc[slot]))
-        }
-    }
-
-    /// True if output VC `slot` is unowned (a new packet may allocate it).
-    #[inline]
-    pub(crate) fn out_free(&self, slot: usize) -> bool {
-        self.out_owned >> slot & 1 == 0
-    }
-
-    /// Record `h` as the owner of output VC `slot`.
-    #[inline]
-    pub(crate) fn own_out(&mut self, slot: usize, h: MsgHandle) {
-        self.out_owner[slot] = h;
-        self.out_owned |= 1 << slot;
-    }
-
-    /// Release output VC `slot`. Advances the allocation epoch: a freed
-    /// output VC is the only event that can turn a previously stalled
-    /// allocation into a success, so every memoized stall on this router
-    /// expires here.
-    #[inline]
-    pub(crate) fn release_out(&mut self, slot: usize) {
-        self.out_owned &= !(1 << slot);
-        self.alloc_epoch += 1;
-    }
-
-    /// Apply the per-cycle `rr_alloc` advancement for every cycle since
-    /// this router was last processed, up to (but not including) `cycle`.
-    /// Call before reading `rr_alloc` in the allocation phase; follow with
-    /// the regular end-of-cycle increment.
-    #[inline]
-    pub(crate) fn sync_rr_alloc(&mut self, cycle: u64) {
-        let lag = cycle.saturating_sub(self.rr_cycle);
-        if lag > 0 {
-            self.rr_alloc = self.rr_alloc.wrapping_add(lag as u32);
-            self.rr_cycle = cycle;
-        }
+    pub(crate) fn new(slab: &'a Slab, r: usize) -> Self {
+        Router { slab, r }
     }
 
     /// Number of ports.
     #[inline]
     pub fn ports(&self) -> usize {
-        self.rr_out.len()
+        self.slab.dims.ports
     }
 
     /// Virtual channels per port.
     #[inline]
     pub fn vcs(&self) -> u8 {
-        self.nvcs
+        self.slab.dims.vcs as u8
     }
 
     /// Flit-buffer depth per VC.
     #[inline]
     pub fn buf_depth(&self) -> u32 {
-        self.depth as u32
+        self.slab.dims.depth as u32
     }
 
-    /// Flat index of `(port, vc)` into the VC arrays.
+    /// Flat slab index of `(port, vc)` of this router.
     #[inline]
-    pub(crate) fn slot(&self, port: usize, vc: usize) -> usize {
-        port * self.nvcs as usize + vc
+    fn flat(&self, port: usize, vc: usize) -> usize {
+        self.r * self.slab.dims.slots + port * self.slab.dims.vcs + vc
     }
 
     /// Read view of an input VC.
     ///
     /// ```
-    /// use mdd_router::Router;
-    /// use mdd_topology::PortId;
-    /// let r = Router::new(4, 2, 2);
+    /// use mdd_router::Network;
+    /// use mdd_topology::{NodeId, PortId, Topology, TopologyKind};
+    /// let net = Network::new(Topology::new(TopologyKind::Torus, &[4, 4], 1), 2, 2);
+    /// let r = net.router(NodeId(0));
     /// assert!(r.vc(PortId(2), 0).front().is_none());
     /// assert_eq!(r.vc(PortId(2), 0).blocked_for(100), 0);
     /// ```
     #[inline]
-    pub fn vc(&self, port: PortId, vc: u8) -> VcRef<'_> {
-        VcRef::new(self, self.slot(port.index(), vc as usize))
+    pub fn vc(&self, port: PortId, vc: u8) -> VcRef<'a> {
+        VcRef::new(self.slab, self.flat(port.index(), vc as usize))
     }
 
     /// Snapshot of an output VC's state (owner and credits).
     ///
     /// ```
-    /// use mdd_router::Router;
-    /// use mdd_topology::PortId;
-    /// let r = Router::new(4, 2, 2);
+    /// use mdd_router::Network;
+    /// use mdd_topology::{NodeId, PortId, Topology, TopologyKind};
+    /// let net = Network::new(Topology::new(TopologyKind::Torus, &[4, 4], 1), 2, 2);
+    /// let r = net.router(NodeId(0));
     /// let out = r.out_vc(PortId(1), 1);
     /// assert!(out.is_free());                  // no wormhole holds it yet
     /// assert_eq!(out.credits, r.buf_depth());  // downstream buffer empty
     /// ```
     #[inline]
     pub fn out_vc(&self, port: PortId, vc: u8) -> OutVc {
-        let slot = self.slot(port.index(), vc as usize);
+        let s = port.index() * self.slab.dims.vcs + vc as usize;
+        let i = self.r * self.slab.dims.slots + s;
         OutVc {
-            owner: if self.out_free(slot) {
-                None
+            owner: if self.slab.out_owned[self.r] >> s & 1 == 1 {
+                Some(MsgHandle::from_bits(self.slab.out_owner[i]))
             } else {
-                Some(self.out_owner[slot])
+                None
             },
-            credits: self.out_credits[slot],
+            credits: self.buf_depth() - u32::from(self.slab.out_used[i]),
         }
     }
 
     /// Total buffered flits across all input VCs.
     pub fn buffered_flits(&self) -> u32 {
-        self.len.iter().map(|&l| l as u32).sum()
+        let slots = self.slab.dims.slots;
+        self.slab.len[self.r * slots..(self.r + 1) * slots]
+            .iter()
+            .map(|&l| u32::from(l))
+            .sum()
     }
 
     /// Iterate `(port, vc_index, vc view)` over all input VCs.
     ///
     /// ```
-    /// use mdd_router::Router;
-    /// let r = Router::new(3, 4, 2);
+    /// use mdd_router::Network;
+    /// use mdd_topology::{NodeId, Topology, TopologyKind};
+    /// let net = Network::new(Topology::new(TopologyKind::Torus, &[4], 1), 4, 2);
+    /// let r = net.router(NodeId(0));
     /// assert_eq!(r.iter_vcs().count(), 3 * 4); // every (port, vc) slot
     /// assert!(r.iter_vcs().all(|(_, _, vc)| vc.is_empty()));
     /// ```
-    pub fn iter_vcs(&self) -> impl Iterator<Item = (PortId, u8, VcRef<'_>)> {
-        let nvcs = self.nvcs as usize;
-        (0..self.len.len())
-            .map(move |i| (PortId((i / nvcs) as u8), (i % nvcs) as u8, VcRef::new(self, i)))
-    }
-}
-
-impl Clone for Router {
-    fn clone(&self) -> Self {
-        Router {
-            bufs: self.bufs.clone(),
-            head: self.head.clone(),
-            len: self.len.clone(),
-            route_port: self.route_port.clone(),
-            route_vc: self.route_vc.clone(),
-            blocked: self.blocked.clone(),
-            stall_epoch: self.stall_epoch.clone(),
-            out_owner: self.out_owner.clone(),
-            out_credits: self.out_credits.clone(),
-            out_owned: self.out_owned,
-            rr_out: self.rr_out.clone(),
-            rr_alloc: self.rr_alloc,
-            rr_cycle: self.rr_cycle,
-            in_occ: self.in_occ,
-            alloc_epoch: self.alloc_epoch,
-            vc_busy: self.vc_busy.clone(),
-            nvcs: self.nvcs,
-            depth: self.depth,
-        }
-    }
-
-    /// Allocation-free in steady state: every backing `Vec` is reused via
-    /// `clone_from` (the debug shadow check snapshots all routers each
-    /// cycle, so this path is hot in debug builds).
-    fn clone_from(&mut self, source: &Self) {
-        self.bufs.clone_from(&source.bufs);
-        self.head.clone_from(&source.head);
-        self.len.clone_from(&source.len);
-        self.route_port.clone_from(&source.route_port);
-        self.route_vc.clone_from(&source.route_vc);
-        self.blocked.clone_from(&source.blocked);
-        self.stall_epoch.clone_from(&source.stall_epoch);
-        self.out_owner.clone_from(&source.out_owner);
-        self.out_credits.clone_from(&source.out_credits);
-        self.out_owned = source.out_owned;
-        self.rr_out.clone_from(&source.rr_out);
-        self.rr_alloc = source.rr_alloc;
-        self.rr_cycle = source.rr_cycle;
-        self.in_occ = source.in_occ;
-        self.alloc_epoch = source.alloc_epoch;
-        self.vc_busy.clone_from(&source.vc_busy);
-        self.nvcs = source.nvcs;
-        self.depth = source.depth;
+    pub fn iter_vcs(&self) -> impl Iterator<Item = (PortId, u8, VcRef<'a>)> + 'a {
+        let Router { slab, r } = *self;
+        let (slots, nvcs) = (slab.dims.slots, slab.dims.vcs);
+        (0..slots).map(move |s| {
+            (
+                PortId((s / nvcs) as u8),
+                (s % nvcs) as u8,
+                VcRef::new(slab, r * slots + s),
+            )
+        })
     }
 }

@@ -287,6 +287,7 @@ fn extraction_reclaims_buffers_and_restores_credits() {
     assert_eq!(ex.head_router, net.topo().nic_router(NicId(2)));
     assert_eq!(net.flits_in_network(), 0);
     assert!(net.packets().is_empty());
+    net.audit().expect("extraction returns every credit and releases every owner");
     // The network must be fully usable afterwards: run fresh traffic
     // through the same links and VCs.
     let mut ej2 = AcceptAll::default();
@@ -298,6 +299,7 @@ fn extraction_reclaims_buffers_and_restores_credits() {
         500,
     );
     assert_eq!(ej2.delivered.len(), 2, "network must be clean after extraction");
+    net.audit().expect("conservation holds after post-extraction traffic");
 }
 
 #[test]
@@ -415,15 +417,63 @@ fn hard_reset_clears_everything() {
         net.step(cycle, &TestDor, &mut ej);
     }
     assert!(net.flits_in_network() > 0);
+    assert!(net.routers_materialized() > 0);
     net.hard_reset();
     assert_eq!(net.flits_in_network(), 0);
     assert!(net.packets().is_empty());
+    // Every router reads pristine again and none counts as touched.
+    assert_eq!(net.routers_materialized(), 0);
+    assert_eq!(net.router_state_bytes(), 0);
+    for node in net.topo().routers() {
+        assert_pristine(&net, node);
+    }
+    net.audit().expect("a reset network conserves everything");
     // Reusable after reset.
     let mut ej2 = AcceptAll::default();
     run(&mut net, &mut store, vec![msg(9, 1, 2, 4)], &mut ej2, 200);
     assert_eq!(ej2.delivered.len(), 1);
 }
 
+/// `node` reads exactly like a freshly built router: every input VC empty,
+/// unrouted and unblocked; every output VC free with full credits.
+fn assert_pristine(net: &Network, node: NodeId) {
+    let r = net.router(node);
+    assert_eq!(r.buffered_flits(), 0, "{node}: buffered flits");
+    for (port, v, vc) in r.iter_vcs() {
+        assert_eq!(vc.free_slots(), vc.capacity(), "{node} {port:?}/{v}: free slots");
+        assert_eq!(vc.capacity(), net.buf_depth());
+        assert!(vc.front().is_none() && vc.route().is_none(), "{node} {port:?}/{v}");
+        assert_eq!(vc.blocked_for(u64::MAX), 0, "{node} {port:?}/{v}: blocked");
+        let out = r.out_vc(port, v);
+        assert!(out.is_free(), "{node} {port:?}/{v}: owner {:?}", out.owner);
+        assert_eq!(out.credits, net.buf_depth(), "{node} {port:?}/{v}: credits");
+        assert_eq!(net.vc_busy(node, port, v), 0);
+    }
+}
+
+#[test]
+fn untouched_routers_read_pristine() {
+    // Construction touches nothing, even at 64x64.
+    let big = Network::new(Topology::new(TopologyKind::Torus, &[64, 64], 1), 4, 2);
+    assert_eq!(big.routers_materialized(), 0);
+    assert_eq!(big.router_state_bytes(), 0);
+    assert_pristine(&big, NodeId(0));
+    assert_pristine(&big, NodeId(4095));
+    big.audit().expect("an empty network conserves everything");
+    // One packet from NIC 0 to NIC 1 on a 4x4 torus touches routers 0
+    // and 1 only; every other router keeps reading pristine.
+    let mut net = torus44();
+    let mut store = MessageStore::new();
+    let mut ej = AcceptAll::default();
+    run(&mut net, &mut store, vec![msg(1, 0, 1, 4)], &mut ej, 100);
+    assert_eq!(ej.delivered.len(), 1);
+    assert_eq!(net.routers_materialized(), 2);
+    assert!(net.router_state_bytes() > 0);
+    for node in net.topo().routers().filter(|n| n.0 > 1) {
+        assert_pristine(&net, node);
+    }
+    net.audit().expect("a drained network conserves everything");
+}
 
 // ---------------------------------------------------------------------
 // Randomized stress properties.
@@ -496,6 +546,7 @@ mod stress {
             prop_assert_eq!(ej.delivered.len(), n_msgs, "every packet delivered");
             prop_assert_eq!(net.counters().flits_delivered, total_flits);
             prop_assert_eq!(net.flits_in_network(), 0);
+            prop_assert_eq!(net.audit(), Ok(()));
             // Delivered to the right NICs (as multiset).
             let mut got: Vec<(u32, u64)> = ej
                 .delivered
@@ -553,6 +604,7 @@ mod stress {
                 }
                 net.step(cycle, &TestDor, &mut ej);
                 if cycle % 37 == 0 {
+                    prop_assert_eq!(net.audit(), Ok(()), "cycle {}", cycle);
                     for node in net.topo().routers() {
                         let router = net.router(node);
                         for p in 0..router.ports() {

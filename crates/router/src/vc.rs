@@ -1,12 +1,12 @@
-//! Virtual-channel views over the router's structure-of-arrays state.
+//! Virtual-channel views over the network's router slab.
 //!
-//! The SoA rewrite removed the per-VC structs; external readers (the CWG
-//! validator, the deadlock-witness formatter, tests) observe a VC through
-//! the borrowing [`VcRef`] view and the [`OutVc`] snapshot instead. Both
-//! are zero-cost facades over the flat arrays in [`crate::Router`].
+//! External readers (the CWG validator, the deadlock-witness formatter,
+//! tests) observe a VC through the borrowing [`VcRef`] view and the
+//! [`OutVc`] snapshot; both are zero-cost facades over the flat arrays in
+//! the slab (see [`crate::Router`]).
 
 use crate::flit::Flit;
-use crate::router::{Router, NOT_BLOCKED};
+use crate::router::Slab;
 use mdd_protocol::MsgHandle;
 use mdd_topology::PortId;
 
@@ -14,42 +14,53 @@ use mdd_topology::PortId;
 /// wormhole routing state of the packet currently at its front.
 ///
 /// ```
-/// use mdd_router::Router;
-/// use mdd_topology::PortId;
-/// let r = Router::new(3, 4, 2);
-/// let vc = r.vc(PortId(1), 2);
+/// use mdd_router::Network;
+/// use mdd_topology::{NodeId, PortId, Topology, TopologyKind};
+/// let net = Network::new(Topology::new(TopologyKind::Torus, &[4], 1), 4, 2);
+/// let vc = net.router(NodeId(1)).vc(PortId(1), 2);
 /// assert!(vc.is_empty());
 /// assert!(!vc.awaiting_route()); // empty: nothing to route
 /// assert_eq!(vc.free_slots(), vc.capacity());
 /// ```
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy)]
 pub struct VcRef<'a> {
-    router: &'a Router,
-    slot: usize,
+    slab: &'a Slab,
+    /// Flat slot index `router * slots + slot`.
+    i: usize,
+}
+
+impl std::fmt::Debug for VcRef<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("VcRef")
+            .field("len", &self.len())
+            .field("route", &self.route())
+            .field("blocked_since", &self.blocked_since())
+            .finish()
+    }
 }
 
 impl<'a> VcRef<'a> {
     #[inline]
-    pub(crate) fn new(router: &'a Router, slot: usize) -> Self {
-        VcRef { router, slot }
+    pub(crate) fn new(slab: &'a Slab, i: usize) -> Self {
+        VcRef { slab, i }
     }
 
     /// Buffer capacity in flits (the paper's default is 2).
     #[inline]
     pub fn capacity(&self) -> u32 {
-        self.router.buf_depth()
+        self.slab.dims.depth as u32
     }
 
     /// Buffered flits.
     #[inline]
     pub fn len(&self) -> u32 {
-        self.router.len[self.slot] as u32
+        self.slab.len_at(self.i) as u32
     }
 
     /// True when no flit is buffered.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.router.len[self.slot] == 0
+        self.len() == 0
     }
 
     /// Free buffer slots.
@@ -61,35 +72,29 @@ impl<'a> VcRef<'a> {
     /// The flit at the front, if any.
     #[inline]
     pub fn front(&self) -> Option<Flit> {
-        self.router.front_flit(self.slot)
+        self.get(0)
     }
 
     /// The most recently buffered flit, if any.
     #[inline]
     pub fn back(&self) -> Option<Flit> {
-        let len = self.router.len[self.slot] as usize;
-        if len == 0 {
-            None
-        } else {
-            Some(self.router.flit_at(self.slot, len - 1))
-        }
+        self.len().checked_sub(1).and_then(|k| self.get(k as usize))
     }
 
     /// The `k`-th buffered flit (0 = front), if present.
     #[inline]
     pub fn get(&self, k: usize) -> Option<Flit> {
-        if k < self.len() as usize {
-            Some(self.router.flit_at(self.slot, k))
-        } else {
-            None
-        }
+        (k < self.slab.len_at(self.i)).then(|| self.slab.flit_at(self.i, k))
     }
 
     /// The allocated route of the front packet: `(output port, output vc)`.
     /// `None` while the head flit awaits route computation / VC allocation.
     #[inline]
     pub fn route(&self) -> Option<(PortId, u8)> {
-        self.router.route_of(self.slot)
+        match self.slab.route[self.i] {
+            0 => None,
+            p => Some((PortId(p - 1), self.slab.route_vc[self.i])),
+        }
     }
 
     /// True if the front flit is a head awaiting VC allocation.
@@ -108,10 +113,7 @@ impl<'a> VcRef<'a> {
     /// it is making progress.
     #[inline]
     pub fn blocked_since(&self) -> Option<u64> {
-        match self.router.blocked[self.slot] {
-            NOT_BLOCKED => None,
-            t => Some(t),
-        }
+        self.slab.blocked[self.i].checked_sub(1)
     }
 
     /// Duration (in cycles, as of `now`) the front flit has been blocked.

@@ -103,6 +103,30 @@ fn vc_budget_is_validated_against_mask_width() {
     }
 }
 
+/// The flit-buffer depth check: the router slab indexes ring heads,
+/// buffer lengths and used credits as `u16`, so a deeper buffer is a
+/// typed error at `build()` instead of a panic in `Simulator::new`.
+#[test]
+fn flit_buffer_depth_is_validated_against_slab_width() {
+    let max = mdd_sim::router::MAX_BUF_DEPTH;
+    assert_eq!(max, u32::from(u16::MAX));
+    let build = |depth: u32| {
+        std::panic::catch_unwind(|| SimConfig::builder().flit_buf(depth).load(0.1).build())
+            .expect("validation must not panic")
+    };
+    assert!(build(max).is_ok(), "the deepest supported buffer must build");
+    match build(70_000).unwrap_err() {
+        ConfigError::FlitBufferTooDeep { flit_buf, max: m } => {
+            assert_eq!((flit_buf, m), (70_000, max));
+        }
+        other => panic!("expected FlitBufferTooDeep, got {other:?}"),
+    }
+    assert!(matches!(
+        build(max + 1).unwrap_err(),
+        ConfigError::FlitBufferTooDeep { .. }
+    ));
+}
+
 // ---------------------------------------------------------------------
 // 16×16 golden pin.
 // ---------------------------------------------------------------------

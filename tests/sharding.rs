@@ -47,7 +47,14 @@ fn fingerprint(r: &SimResult) -> [u64; 19] {
 
 fn run_at(mut cfg: SimConfig, shards: u32) -> SimResult {
     cfg.shards = shards;
-    Simulator::new(cfg).expect("feasible configuration").run()
+    let mut sim = Simulator::new(cfg).expect("feasible configuration");
+    let result = sim.run();
+    // Credits, occupancy, flit counts and ownership are conserved at the
+    // end of every run, whatever the shard count.
+    if let Err(e) = sim.network().audit() {
+        panic!("network audit failed after a run at shards={shards}: {e}");
+    }
+    result
 }
 
 /// Run at shards 1, 2 and 4 and demand bit-identical results.
