@@ -15,7 +15,8 @@
 //! --pattern pat100|pat721|pat451|pat271|pat280  [pat271]
 //! --vcs N                      [4]
 //! --load F                     [0.2]   (ignored with --sweep)
-//! --sweep LO:HI:N              run a Burton-Normal-Form sweep
+//! --sweep LO:HI:N              run a Burton-Normal-Form sweep of N >= 2
+//!                              loads, finite 0 <= LO < HI
 //! --radix KxK[xK...]           [8x8]
 //! --topo KxK[xK...]            alias of --radix: the scale-ladder preset
 //!                              grammar (8x8, 16x16, 64x64, 8x8x8), parsed
@@ -242,6 +243,11 @@ fn main() {
         let lo: f64 = parts[0].parse().unwrap_or_else(|_| die("bad sweep lo"));
         let hi: f64 = parts[1].parse().unwrap_or_else(|_| die("bad sweep hi"));
         let n: usize = parts[2].parse().unwrap_or_else(|_| die("bad sweep n"));
+        if !(lo.is_finite() && hi.is_finite() && 0.0 <= lo && lo < hi && n >= 2) {
+            die(&format!(
+                "--sweep {sweep}: needs finite 0 <= LO < HI and N >= 2"
+            ));
+        }
         let loads = default_loads(lo, hi, n);
         // Stream points as they complete (progress on stderr), then
         // assemble the deterministically ordered report.

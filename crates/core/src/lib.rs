@@ -3,8 +3,9 @@
 //! The simulator proper: wires the topology, the flit-level wormhole
 //! network, the network interfaces, the traffic generators and the three
 //! message-dependent deadlock handling schemes (SA / DR / PR) into a
-//! cycle-accurate whole, and provides the load-sweep runner that produces
-//! the paper's Burton-Normal-Form curves.
+//! cycle-accurate whole, and provides the per-point primitives of the
+//! load sweeps (run by `mdd-engine`) behind the paper's
+//! Burton-Normal-Form curves.
 //!
 //! ## Per-cycle order of operations
 //!
@@ -38,7 +39,7 @@ pub use config::{SimConfig, SimResult};
 pub use preflight::{analysis_config, min_safe_vcs, verify_config, verify_config_degraded};
 pub use recovery::{EpisodeOrigin, EpisodeRecord, PrRecovery};
 pub use sim::Simulator;
-pub use sweep::{default_loads, run_curve_checked, run_point};
+pub use sweep::{default_loads, run_point};
 pub use validate::{build_waitfor_graph, deadlock_witness};
 
 // Static verification verdicts surface through the builder's strict mode

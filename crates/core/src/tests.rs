@@ -211,23 +211,6 @@ fn throughput_tracks_load_below_saturation() {
 }
 
 #[test]
-fn sweep_produces_monotone_applied_loads() {
-    let base = small(Scheme::ProgressiveRecovery, PatternSpec::pat100(), 4, 0.0);
-    let loads = default_loads(0.05, 0.25, 3);
-    let (curve, results) = run_curve_checked(&base, &loads, "PR");
-    assert_eq!(curve.points.len(), 3);
-    assert_eq!(results.len(), 3);
-    assert!(results.iter().all(Result::is_ok));
-    assert!(curve
-        .points
-        .windows(2)
-        .all(|w| w[0].applied_load < w[1].applied_load));
-    assert!(curve.saturation_throughput() > 0.0);
-    // Latency grows with load.
-    assert!(curve.points[2].latency >= curve.points[0].latency);
-}
-
-#[test]
 fn deadlocks_appear_only_beyond_saturation_for_pr() {
     // At light load: zero detections. Deep saturation with shared queues:
     // recovery activity appears (detections and possibly rescues).

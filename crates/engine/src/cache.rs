@@ -2,8 +2,7 @@
 //!
 //! Layout: sixteen append-only JSON Lines files, `shard-0.jsonl` …
 //! `shard-f.jsonl`, in the cache directory (`results/cache/` by
-//! convention), plus read-only support for the pre-shard single-file
-//! layout (`points.jsonl`). Each line is one completed simulation point
+//! convention). Each line is one completed simulation point
 //! keyed by the canonical hash of its full
 //! [`SimConfig`](mdd_core::SimConfig) (see `SimConfig::canonical_string`
 //! for exactly what the key covers); the first hex digit of the key picks
@@ -40,13 +39,7 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Name of the legacy single-file JSONL cache inside the cache directory.
-/// Still *read* (so pre-shard caches keep hitting) but never written;
-/// new points go to their [`ResultCache::shard_file`].
-pub const CACHE_FILE: &str = "points.jsonl";
 
 /// Number of key-prefix shards (one hex digit).
 pub const CACHE_SHARDS: usize = 16;
@@ -63,7 +56,6 @@ struct Shard {
 pub struct ResultCache {
     dir: PathBuf,
     shards: Vec<Mutex<Shard>>,
-    hits: AtomicU64,
 }
 
 /// The shard index of a cache key: its first hex digit (keys are FNV-1a
@@ -79,39 +71,21 @@ fn shard_index(key: &str) -> usize {
 
 impl ResultCache {
     /// Open (creating on demand) the cache rooted at `dir`, loading every
-    /// decodable line of each `shard-*.jsonl` (and of a legacy
-    /// `points.jsonl`, read-only). Corrupt or truncated lines and lines
-    /// of other format versions are skipped silently. A final line left
-    /// unterminated by a crashed writer is repaired (newline-terminated)
-    /// before this handle appends anything.
+    /// decodable line of each `shard-*.jsonl`. Corrupt or truncated
+    /// lines and lines of other format versions are skipped silently. A
+    /// final line left unterminated by a crashed writer is repaired
+    /// (newline-terminated) before this handle appends anything.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        // Pre-shard caches: single read-only file, entries routed to the
-        // shard their key belongs to.
-        let mut legacy: Vec<HashMap<String, SimResult>> =
-            (0..CACHE_SHARDS).map(|_| HashMap::new()).collect();
-        match File::open(dir.join(CACHE_FILE)) {
-            Ok(f) => {
-                let mut unterminated = false;
-                read_entries(f, &mut unterminated, |key, result| {
-                    legacy[shard_index(&key)].insert(key, result);
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
         let mut shards = Vec::with_capacity(CACHE_SHARDS);
-        for (s, mut entries) in legacy.into_iter().enumerate() {
+        for s in 0..CACHE_SHARDS {
             let path = dir.join(format!("shard-{s:x}.jsonl"));
-            let mut unterminated = false;
-            match File::open(&path) {
-                Ok(f) => read_entries(f, &mut unterminated, |key, result| {
-                    entries.insert(key, result);
-                }),
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            let (entries, unterminated) = match File::open(&path) {
+                Ok(f) => read_entries(f),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => (HashMap::new(), false),
                 Err(e) => return Err(e),
-            }
+            };
             let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
             if unterminated {
                 // A final line with no newline is a write cut short by a
@@ -122,16 +96,7 @@ impl ResultCache {
             }
             shards.push(Mutex::new(Shard { entries, file }));
         }
-        Ok(ResultCache {
-            dir,
-            shards,
-            hits: AtomicU64::new(0),
-        })
-    }
-
-    /// The directory this cache persists under.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+        Ok(ResultCache { dir, shards })
     }
 
     /// The shard file `key` lives in (for tests and tooling; the path may
@@ -153,23 +118,14 @@ impl ResultCache {
         self.len() == 0
     }
 
-    /// Cache hits served since this handle was opened.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
     /// Look up a point by key.
     pub fn get(&self, key: &str) -> Option<SimResult> {
-        let hit = self.shards[shard_index(key)]
+        self.shards[shard_index(key)]
             .lock()
             .expect("cache shard poisoned")
             .entries
             .get(key)
-            .cloned();
-        if hit.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
+            .cloned()
     }
 
     /// Record a completed point: remembered in memory and appended +
@@ -189,9 +145,11 @@ impl ResultCache {
     }
 }
 
-/// Read every decodable line of `f` into `insert`, flagging whether the
-/// final line was missing its newline (a crashed append).
-fn read_entries(f: File, unterminated: &mut bool, mut insert: impl FnMut(String, SimResult)) {
+/// Every decodable line of `f`, and whether the final line was missing
+/// its newline (a crashed append).
+fn read_entries(f: File) -> (HashMap<String, SimResult>, bool) {
+    let mut entries = HashMap::new();
+    let mut unterminated = false;
     let mut reader = BufReader::new(f);
     let mut line = String::new();
     loop {
@@ -203,11 +161,12 @@ fn read_entries(f: File, unterminated: &mut bool, mut insert: impl FnMut(String,
             // decoded so far.
             Err(_) => break,
         }
-        *unterminated = !line.ends_with('\n');
+        unterminated = !line.ends_with('\n');
         if let Some((key, _label, result)) = codec::decode_line(line.trim_end()) {
-            insert(key, result);
+            entries.insert(key, result);
         }
     }
+    (entries, unterminated)
 }
 
 impl std::fmt::Debug for ResultCache {

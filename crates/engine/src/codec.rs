@@ -2,10 +2,9 @@
 //!
 //! One flat JSON object per line: the cache key, the label, a format
 //! version, and every measured field of [`SimResult`]. Built on the
-//! shared [`Json`] value type (floats render in Rust's shortest
-//! round-trip form), so decode(encode(r)) == r bit-for-bit — and the
-//! daemon protocol's `result` objects are the same serialization, minus
-//! the key/label/version envelope. The observability snapshot is *not*
+//! crate's `Json` value type (floats render in Rust's shortest
+//! round-trip form), so decode(encode(r)) == r bit-for-bit. The
+//! observability snapshot is *not*
 //! persisted — obs counters are process-cumulative and meaningless
 //! outside the run that produced them — so cache-served results carry
 //! `obs: None`.
@@ -73,16 +72,9 @@ fn result_fields(r: &SimResult) -> Vec<(String, Json)> {
     ]
 }
 
-/// A result as a bare JSON object (no key/label/version envelope) — the
-/// shape the daemon protocol streams inside point events.
-pub(crate) fn result_to_json(r: &SimResult) -> Json {
-    Json::Obj(result_fields(r))
-}
-
-/// Rebuild a result from an object carrying the measured fields (either
-/// a full cache line or a protocol `result` object). `None` if any field
-/// is missing or mistyped.
-pub(crate) fn result_from_json(j: &Json) -> Option<SimResult> {
+/// Rebuild a result from a cache line's measured fields. `None` if any
+/// field is missing or mistyped.
+fn result_from_json(j: &Json) -> Option<SimResult> {
     let num = |k: &str| j.get(k)?.as_f64();
     let int = |k: &str| j.get(k)?.as_u64();
     Some(SimResult {

@@ -27,8 +27,7 @@ use std::time::Instant;
 ///
 /// The engine is a cheap-to-clone handle (an `Arc` around the cache and
 /// pool): clones share the cache, the workers, and the in-flight
-/// accounting, so one engine can serve many threads — the `mddsimd`
-/// daemon runs every connection off clones of a single engine.
+/// accounting, so one engine can serve many threads.
 ///
 /// Progress is reported through the global `mdd-obs` counters when that
 /// layer is installed: `points_started`, `points_completed`,
@@ -39,8 +38,8 @@ use std::time::Instant;
 /// Do not call [`JobHandle::wait`] (or blocking [`JobHandle::recv`])
 /// from inside a task running *on* this engine's pool: a worker blocked
 /// on its own pool's output can deadlock a fully loaded pool. Submit
-/// from ordinary threads — the daemon's connection threads, a binary's
-/// main thread — and stream from there.
+/// from ordinary threads — a binary's main thread, a test thread — and
+/// stream from there.
 #[derive(Clone, Debug)]
 pub struct Engine {
     inner: Arc<EngineInner>,
@@ -70,15 +69,6 @@ impl Engine {
     /// the shared global pool.
     pub fn with_cache_dir(dir: impl AsRef<Path>) -> io::Result<Self> {
         Engine::builder().cache_dir(dir).build()
-    }
-
-    /// An engine around an already opened cache, on the shared global
-    /// pool.
-    pub fn with_cache(cache: ResultCache) -> Self {
-        Engine::builder()
-            .cache(cache)
-            .build()
-            .expect("engine around an opened cache cannot fail")
     }
 
     /// Start configuring an engine (worker count, cache location).
@@ -260,7 +250,6 @@ impl Engine {
 pub struct EngineBuilder {
     jobs: Option<usize>,
     cache_dir: Option<PathBuf>,
-    cache: Option<ResultCache>,
 }
 
 impl EngineBuilder {
@@ -281,20 +270,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Back the engine with an already opened cache.
-    pub fn cache(mut self, cache: ResultCache) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
     /// Build the engine. Fails if the cache directory cannot be opened
     /// or `jobs` was `0`.
     pub fn build(self) -> io::Result<Engine> {
-        let cache = match (self.cache, self.cache_dir) {
-            (Some(cache), _) => Some(cache),
-            (None, Some(dir)) => Some(ResultCache::open(dir)?),
-            (None, None) => None,
-        };
+        let cache = self.cache_dir.map(ResultCache::open).transpose()?;
         let pool = match self.jobs {
             None => rayon::global_pool(),
             Some(0) => {
@@ -361,17 +340,6 @@ impl JobHandle {
         Some(outcome)
     }
 
-    /// Yield the next completed point without blocking; `None` when none
-    /// is ready right now (or the stream is exhausted).
-    pub fn try_recv(&mut self) -> Option<PointOutcome> {
-        if self.remaining() == 0 {
-            return None;
-        }
-        let outcome = self.rx.try_recv().ok()?;
-        self.received.push(outcome.clone());
-        Some(outcome)
-    }
-
     /// Drain the stream and assemble the report. Points already consumed
     /// via [`JobHandle::recv`] are included — streaming first and then
     /// waiting loses nothing. The report is ordered by job id, so it is
@@ -387,28 +355,6 @@ impl JobHandle {
     /// finish normally. The stream still delivers every outcome.
     pub fn cancel(&self) {
         self.cancel.store(true, Ordering::SeqCst);
-    }
-
-    /// A detachable cancel token for this batch (the daemon hands these
-    /// to other connections).
-    pub fn canceller(&self) -> Canceller {
-        Canceller(Arc::clone(&self.cancel))
-    }
-}
-
-/// Cancels one submitted batch from anywhere (cloneable, thread-safe).
-#[derive(Clone, Debug)]
-pub struct Canceller(Arc<AtomicBool>);
-
-impl Canceller {
-    /// Request cancellation (see [`JobHandle::cancel`]).
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-
-    /// True once cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
     }
 }
 
@@ -674,18 +620,12 @@ impl SweepReport {
     }
 
     /// The successful results by value, in job order (for call sites
-    /// migrating from `run_curve_checked` without inspecting per-point
-    /// errors).
+    /// that do not inspect per-point errors).
     pub fn into_results(self) -> Vec<SimResult> {
         self.outcomes
             .into_iter()
             .filter_map(|o| o.result.ok())
             .collect()
-    }
-
-    /// The static pre-flight verdicts, in job order.
-    pub fn verdicts(&self) -> Vec<Option<&Verdict>> {
-        self.outcomes.iter().map(|o| o.verdict.as_ref()).collect()
     }
 
     /// The failures (cancellations included), in job order.
@@ -705,12 +645,6 @@ impl SweepReport {
                 .iter()
                 .filter_map(|o| o.result.as_ref().ok().map(SimResult::bnf_point)),
         )
-    }
-
-    /// Total wall-clock microseconds spent simulating (cache hits add
-    /// nothing; parallel points sum, so this exceeds elapsed time).
-    pub fn wall_micros(&self) -> u64 {
-        self.outcomes.iter().map(|o| o.wall_micros).sum()
     }
 
     /// One-line progress summary, e.g. `9 points: 6 simulated, 3 cached`.

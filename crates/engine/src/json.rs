@@ -1,7 +1,9 @@
-//! A minimal JSON value type shared by the cache codec and the daemon
-//! wire protocol, so both serialize through one implementation.
+//! A minimal JSON value type for the cache codec.
 //!
-//! Scope is exactly what those two need and nothing more:
+//! Scope is exactly what the cache needs and nothing more, except that
+//! the parser accepts any JSON value (arrays, booleans, `null`): cache
+//! files come from outside the program, so every line is parsed in full
+//! before it is judged. Properties:
 //!
 //! * **Integers and floats are distinct.** `u64`s (counters, seeds,
 //!   ids) render as integer digits and round-trip exactly; `f64`s render
@@ -20,7 +22,7 @@
 
 /// One JSON value.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Json {
+pub(crate) enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
@@ -40,7 +42,7 @@ pub enum Json {
 impl Json {
     /// Parse one complete JSON value (trailing whitespace allowed,
     /// trailing garbage not). `None` on any malformed input.
-    pub fn parse(text: &str) -> Option<Json> {
+    pub(crate) fn parse(text: &str) -> Option<Json> {
         let mut chars = text.chars().peekable();
         let value = parse_value(&mut chars)?;
         skip_ws(&mut chars);
@@ -48,7 +50,7 @@ impl Json {
     }
 
     /// Render compactly (no whitespace, no trailing newline).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out);
         out
@@ -92,7 +94,7 @@ impl Json {
     }
 
     /// Field lookup on an object (first match); `None` on other shapes.
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -100,17 +102,9 @@ impl Json {
     }
 
     /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -118,7 +112,7 @@ impl Json {
     /// The value as a `u64`: integers directly, floats only when whole
     /// and in range (cache files written before the integer/float split
     /// carry counters as floats).
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Int(n) => Some(*n),
             Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= u64::MAX as f64 => {
@@ -129,18 +123,10 @@ impl Json {
     }
 
     /// The value as an `f64` (integers widen).
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Int(n) => Some(*n as f64),
             Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The items, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
             _ => None,
         }
     }

@@ -1,18 +1,18 @@
 //! mdd-engine: the fault-tolerant, cached, streaming experiment engine.
 //!
-//! All figure harnesses, the bench binaries, and the `mddsimd` sweep
-//! daemon route their simulation points through this crate. Four ideas
-//! compose:
+//! Every load sweep in the workspace — the figure harnesses, `mddsim`
+//! and the bench binaries — routes its simulation points through this
+//! crate. Four ideas compose:
 //!
 //! 1. **Jobs.** A [`Job`] is one fully resolved
 //!    [`SimConfig`](mdd_core::SimConfig) plus the curve label and point
 //!    id it reports under. [`Job::points`] expands a base config and a
-//!    load vector into a batch, applying the same per-point seed
-//!    decorrelation the classic sweep used.
+//!    load vector into a batch, decorrelating each point's seed with
+//!    [`SimConfig::at_load`](mdd_core::SimConfig::at_load).
 //! 2. **Streaming submission.** [`Engine::submit`] schedules a batch
 //!    onto a work-stealing thread pool and returns a [`JobHandle`]
 //!    immediately; each [`PointOutcome`] streams back as it completes
-//!    ([`JobHandle::recv`] / [`JobHandle::try_recv`]), and
+//!    ([`JobHandle::recv`]), and
 //!    [`JobHandle::wait`] assembles the drained stream into a
 //!    [`SweepReport`] ordered by job id — bit-identical regardless of
 //!    worker count. Batches can be cancelled mid-flight; unstarted
@@ -30,10 +30,6 @@
 //!    semantic field invalidates exactly the affected points. An
 //!    interrupted sweep resumes from what it already finished, and
 //!    concurrent engines may share a directory.
-//!
-//! The [`proto`] module serializes this same surface over a Unix domain
-//! socket for the `mddsimd` daemon: a remote submit expands to the same
-//! job batch, and each streamed line is one `PointOutcome`.
 //!
 //! ```
 //! use mdd_engine::Engine;
@@ -64,17 +60,9 @@ mod engine;
 mod error;
 mod job;
 mod json;
-pub mod proto;
 
-pub use cache::{ResultCache, CACHE_FILE, CACHE_SHARDS};
+pub use cache::{ResultCache, CACHE_SHARDS};
 pub use codec::{decode_line, encode_line, CACHE_LINE_VERSION};
-pub use engine::{Canceller, Engine, EngineBuilder, JobHandle, PointOutcome, SweepReport};
+pub use engine::{Engine, EngineBuilder, JobHandle, PointOutcome, SweepReport};
 pub use error::{PointError, PointFailure};
 pub use job::Job;
-pub use json::Json;
-
-/// The conventional cache directory used by the bench binaries.
-pub const DEFAULT_CACHE_DIR: &str = "results/cache";
-
-/// The conventional socket path of the `mddsimd` daemon.
-pub const DEFAULT_SOCKET: &str = "/tmp/mddsimd.sock";

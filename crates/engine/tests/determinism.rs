@@ -113,6 +113,31 @@ fn cached_and_simulated_points_interleave_without_reordering_the_curve() {
     assert_eq!(curve_bits(&reference), curve_bits(&report));
 }
 
+/// The simulator behind a sweep: applied loads are monotone, the curve
+/// saturates above zero, and latency rises with load.
+#[test]
+fn sweep_produces_monotone_applied_loads() {
+    let base = mdd_core::SimConfig::small_test(
+        mdd_core::Scheme::ProgressiveRecovery,
+        mdd_core::PatternSpec::pat100(),
+        4,
+        0.0,
+    );
+    let loads = mdd_core::default_loads(0.05, 0.25, 3);
+    let report = Engine::new().submit_sweep(&base, &loads, "PR").wait();
+    assert_eq!(report.outcomes.len(), 3);
+    assert!(report.complete());
+    let curve = report.curve("PR");
+    assert_eq!(curve.points.len(), 3);
+    assert!(curve
+        .points
+        .windows(2)
+        .all(|w| w[0].applied_load < w[1].applied_load));
+    assert!(curve.saturation_throughput() > 0.0);
+    // Latency grows with load.
+    assert!(curve.points[2].latency >= curve.points[0].latency);
+}
+
 /// The pool-parallel fault frontier must classify exactly like the
 /// sequential sweep in `mdd-verify`, point for point, at any worker
 /// count — orbit grouping plus parallel re-verdicts is a pure

@@ -9,8 +9,7 @@
 //!   parallel map over borrowed data, run on scoped threads;
 //! * [`ThreadPool`] / [`ThreadPoolBuilder`] — a persistent pool of
 //!   worker threads accepting `'static` tasks via [`ThreadPool::spawn`],
-//!   the substrate of the `mdd-engine` streaming scheduler and the
-//!   `mddsimd` sweep service.
+//!   the substrate of the `mdd-engine` streaming scheduler.
 //!
 //! Both are built on one scheduling design: **per-worker deques plus a
 //! global injector**. External submissions land in the injector; a

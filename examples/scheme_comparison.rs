@@ -17,6 +17,7 @@ fn main() {
         loads.last().unwrap()
     );
 
+    let engine = Engine::new();
     let mut curves: Vec<BnfCurve> = Vec::new();
     for scheme in [
         Scheme::StrictAvoidance {
@@ -35,8 +36,11 @@ fn main() {
             .build()
         {
             Ok(cfg) => {
-                let (curve, _) = run_curve_checked(&cfg, &loads, scheme.label());
-                curves.push(curve);
+                let report = engine.submit_sweep(&cfg, &loads, scheme.label()).wait();
+                for err in report.errors() {
+                    eprintln!("{err}");
+                }
+                curves.push(report.curve(scheme.label()));
             }
             Err(e) => println!(
                 "{}: not configurable at {vcs} VCs ({e}) — exactly as the \
